@@ -44,7 +44,6 @@ _LAZY_EXPORTS = {
     "build_sender": ("repro.api.sender", "build_sender"),
     "build_components": ("repro.api.sender", "build_components"),
     "SenderParts": ("repro.api.sender", "SenderParts"),
-    "BatchedSenderPool": ("repro.api.pool", "BatchedSenderPool"),
     "PolicyTable": ("repro.api.policy", "PolicyTable"),
     "precompute_policy_table": ("repro.api.policy", "precompute_policy_table"),
     "load_or_precompute_policy_table": (
@@ -61,7 +60,6 @@ __all__ = [
     "BELIEF_BACKENDS",
     "ROLLOUT_BACKENDS",
     "BackendRegistry",
-    "BatchedSenderPool",
     "KERNELS",
     "POLICY_MODES",
     "PolicyTable",

@@ -133,29 +133,23 @@ class BackendRegistry:
 
 
 #: Belief-state engines: name → BeliefState subclass.  ``"scalar"`` is the
-#: per-object reference implementation, ``"vectorized"`` the NumPy
-#: struct-of-arrays ensemble, and ``"fused"`` the wake-up-fused variant
-#: whose compaction runs as one ``np.unique`` grouping over the signature
-#: matrix (bit-identical posteriors to ``"vectorized"``).
+#: per-object reference implementation and ``"vectorized"`` the NumPy
+#: struct-of-arrays ensemble.
 BELIEF_BACKENDS = BackendRegistry(
     "belief",
     builtin_modules={
         "scalar": "repro.inference.belief",
         "vectorized": "repro.inference.vectorized.belief",
-        "fused": "repro.inference.vectorized.fused",
     },
 )
 
 #: Planner rollout engines: name → ``engine(planner, belief, now) -> Decision``.
 #: ``"scalar"`` event-steps one model clone per lane; ``"vectorized"``
-#: advances all lanes through one masked event frontier; ``"fused"`` feeds
-#: ensemble rows straight into that frontier (no ``RolloutLanes`` repack)
-#: and powers the (sender × action × hypothesis) ``BatchedSenderPool``.
+#: advances all lanes through one masked event frontier.
 ROLLOUT_BACKENDS = BackendRegistry(
     "rollout",
     builtin_modules={
         "scalar": "repro.core.planner",
         "vectorized": "repro.inference.vectorized.rollout",
-        "fused": "repro.inference.vectorized.fused",
     },
 )

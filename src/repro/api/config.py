@@ -88,10 +88,8 @@ class SenderConfig:
     belief_backend / rollout_backend:
         Registered engine names (see :mod:`repro.api.backends`); validated
         eagerly at construction.  The built-ins are ``"scalar"`` (the
-        reference oracle), ``"vectorized"`` (struct-of-arrays ensemble and
-        batched rollout lanes), and ``"fused"`` (the single-pass wake-up
-        kernel; also the engine :class:`~repro.api.pool.BatchedSenderPool`
-        batches across senders).
+        reference oracle) and ``"vectorized"`` (struct-of-arrays ensemble
+        and batched rollout lanes).
     policy:
         ``"none"`` plans live at every wake-up; ``"cache"`` memoizes
         decisions (:class:`~repro.core.policy.PolicyCache`); ``"table"``

@@ -100,11 +100,8 @@ class ExpectedUtilityPlanner:
         negligibly and are skipped for speed).
     rollout_backend:
         Name of a registered rollout engine — ``"scalar"`` (per-lane
-        ``Hypothesis.rollout``, the reference oracle), ``"vectorized"``
-        (the batched lane engine), or ``"fused"`` (the single-pass wake-up
-        kernel: ensemble rows alias straight into the rollout frontier
-        with no ``RolloutLanes`` repack, and back-to-back departure runs
-        drain in one prefix-sum pass).  Resolved through
+        ``Hypothesis.rollout``, the reference oracle) or ``"vectorized"``
+        (the batched lane engine).  Resolved through
         :data:`~repro.api.backends.ROLLOUT_BACKENDS` at construction, so an
         unknown name raises :class:`~repro.errors.UnknownBackendError`
         immediately, listing the registered engines.

@@ -22,10 +22,11 @@ NumPy buffers instead and batches each step across all rows:
   ``Hypothesis`` materialization) or from ``export_state()`` when the
   belief backend is scalar.
 
-Select it anywhere a belief is built via
-``BeliefState.from_prior(..., backend="vectorized")`` (the scalar path
-remains the reference implementation), and on the planner via
-``ExpectedUtilityPlanner(..., rollout_backend="vectorized")``.
+This is the one NumPy engine, registered as ``"vectorized"`` in both
+backend registries; ``"scalar"`` is the other built-in and remains the
+reference implementation.  Select it anywhere a belief is built via
+``BeliefState.from_prior(..., backend="vectorized")``, and on the planner
+via ``ExpectedUtilityPlanner(..., rollout_backend="vectorized")``.
 """
 
 from repro.inference.vectorized.belief import VectorizedBeliefState

@@ -361,18 +361,15 @@ def _run_frontier(
     next_cross: np.ndarray,
     next_hyp: np.ndarray,
     hyp_left: int,
-    packet_bits_lane: np.ndarray,
+    packet_bits: float,
     width_is_exact: bool,
 ) -> dict:
-    """The masked event-frontier core shared by every rollout entry point.
+    """The masked event-frontier core of :func:`batched_rollout`.
 
     Mutates the per-lane buffers in place and returns the raw event log plus
     the final lane state.  Every operation here is per-lane elementwise (no
     cross-lane reduction), so a lane's event sequence — values and order —
-    depends only on that lane's own inputs.  That independence is what makes
-    :func:`batched_rollout_blocks` byte-identical per block: lane L fires
-    its i-th event on iteration i whether it shares the buffers with one
-    sender's fan-out or with sixty-four senders'.
+    depends only on that lane's own inputs.
     """
     total = int(link_rate.size)
     q_head = np.zeros(total, dtype=np.int64)
@@ -498,7 +495,8 @@ def _run_frontier(
             if rows.size:
                 next_hyp[rows] = np.inf
                 hyp_left -= int(rows.size)
-                enqueue(rows, send_time[rows], FLOW_HYP, packet_bits_lane[rows])
+                hyp_sizes = np.full(rows.size, packet_bits, dtype=float)
+                enqueue(rows, send_time[rows], FLOW_HYP, hyp_sizes)
 
     if comp_times:
         all_times = np.concatenate(comp_times)
@@ -527,347 +525,11 @@ def _run_frontier(
     }
 
 
-def _drain_runs(
-    run_rows: np.ndarray,
-    run_start: np.ndarray,
-    *,
-    link_rate: np.ndarray,
-    svc_active: np.ndarray,
-    svc_flow: np.ndarray,
-    svc_size: np.ndarray,
-    svc_completion: np.ndarray,
-    q_flow: np.ndarray,
-    q_size: np.ndarray,
-    q_head: np.ndarray,
-    q_len: np.ndarray,
-    queue_bits: np.ndarray,
-    until: np.ndarray,
-    next_cross: np.ndarray,
-    next_hyp: np.ndarray,
-    hyp_left: int,
-    comp_times: list[np.ndarray],
-    comp_rows: list[np.ndarray],
-    comp_flows: list[np.ndarray],
-    comp_sizes: list[np.ndarray],
-) -> None:
-    """Finish each lane's back-to-back departure run in one vectorized slab.
-
-    ``run_rows`` are lanes whose just-loaded packet (completing at
-    ``run_start``, event already emitted) *drained* — its completion beats
-    the lane's next cross arrival, hypothetical send, and deadline.  The
-    lockstep loop would now fire one masked iteration per remaining queued
-    packet; this helper replays that entire run at once: a prefix-sum over
-    the queued transmission times yields every completion in the run, a
-    single comparison against the lane's drain limit finds where the run
-    stops, and the queue/service state jumps straight to the post-run
-    values.
-
-    Bit-identity with the one-packet-at-a-time loop is preserved because
-    ``np.add.accumulate`` is a strict left-to-right accumulation: the
-    completion chain ``c_{j+1} = c_j + size_j / rate`` and the backlog
-    chain ``(queue_bits - s_1) - s_2 …`` associate exactly as the scalar
-    steps do (IEEE ``a - b`` ≡ ``a + (-b)``), and the backlog's ``< 1e-9``
-    floor commutes with skipping intermediate steps — the chain is
-    monotone decreasing, and once the scalar loop floors to ``0.0`` every
-    later step re-floors to ``0.0``.
-    """
-    depth = q_len[run_rows]
-    width = int(depth.max()) if depth.size else 0
-    if width == 0:
-        # Every run emptied its queue on the packet just emitted.
-        svc_active[run_rows] = False
-        svc_completion[run_rows] = np.inf
-        return
-    offsets = np.arange(width)
-    valid = offsets[None, :] < depth[:, None]
-    cols = np.where(valid, q_head[run_rows][:, None] + offsets[None, :], 0)
-    row_col = run_rows[:, None]
-    sizes_slab = q_size[row_col, cols]
-    flows_slab = q_flow[row_col, cols]
-    # chain[:, j] after accumulation is the completion time of the j-th
-    # queued packet; column 0 seeds the strict left-to-right accumulation
-    # with the just-emitted completion, matching the scalar chain's
-    # association exactly.
-    chain = np.empty((run_rows.size, width + 1))
-    chain[:, 0] = run_start
-    np.divide(sizes_slab, link_rate[run_rows][:, None], out=chain[:, 1:])
-    np.add.accumulate(chain, axis=1, out=chain)
-    completions = chain[:, 1:]
-    limit = np.minimum(next_cross[run_rows], until[run_rows])
-    if hyp_left:
-        limit = np.minimum(limit, next_hyp[run_rows])
-    fired = valid & (completions <= limit[:, None])
-    drained = fired.sum(axis=1)
-    if drained.any():
-        comp_times.append(completions[fired])
-        comp_rows.append(np.repeat(run_rows, drained))
-        comp_flows.append(flows_slab[fired])
-        comp_sizes.append(sizes_slab[fired])
-    exhausted = drained >= depth
-    # Lanes that drained their whole queue loaded (and emitted) all of it;
-    # the rest additionally loaded the first packet that did not drain,
-    # which stays in service exactly as the scalar loop leaves it.
-    loads = np.where(exhausted, depth, drained + 1)
-    backlog = np.empty((run_rows.size, width + 1))
-    backlog[:, 0] = queue_bits[run_rows]
-    np.negative(sizes_slab, out=backlog[:, 1:])
-    np.add.accumulate(backlog, axis=1, out=backlog)
-    lanes = np.arange(run_rows.size)
-    final_backlog = backlog[lanes, loads]
-    queue_bits[run_rows] = np.where(final_backlog < 1e-9, 0.0, final_backlog)
-    q_head[run_rows] += loads
-    q_len[run_rows] -= loads
-    if exhausted.any():
-        done = run_rows[exhausted]
-        svc_active[done] = False
-        svc_completion[done] = np.inf
-    serving = ~exhausted
-    if serving.any():
-        serving_rows = run_rows[serving]
-        pick = drained[serving]
-        slab = lanes[serving]
-        svc_flow[serving_rows] = flows_slab[slab, pick]
-        svc_size[serving_rows] = sizes_slab[slab, pick]
-        svc_completion[serving_rows] = completions[slab, pick]
-
-
-def _run_frontier_fused(
-    *,
-    link_rate: np.ndarray,
-    buffer_slack: np.ndarray,
-    cross_interval: np.ndarray,
-    cross_packet_bits: np.ndarray,
-    svc_active: np.ndarray,
-    svc_flow: np.ndarray,
-    svc_size: np.ndarray,
-    svc_completion: np.ndarray,
-    q_flow: np.ndarray,
-    q_size: np.ndarray,
-    q_len: np.ndarray,
-    queue_bits: np.ndarray,
-    send_time: np.ndarray,
-    until: np.ndarray,
-    next_cross: np.ndarray,
-    next_hyp: np.ndarray,
-    hyp_left: int,
-    packet_bits_lane: np.ndarray,
-    width_is_exact: bool,
-) -> dict:
-    """The fused entry points' event frontier: compacted state, drained runs.
-
-    Fires exactly the events :func:`_run_frontier` fires, with the identical
-    per-lane arithmetic (same float operations in the same per-lane order),
-    but with consecutive service completions *drained*: when a completion's
-    freshly loaded packet would itself complete before the lane's next
-    cross arrival, hypothetical send, and deadline, :func:`_drain_runs`
-    replays the lane's whole back-to-back departure run inside the same
-    outer iteration via one prefix-sum slab.  The outer iteration count
-    drops from the busiest lane's *event* count to roughly its *arrival*
-    count — and each outer iteration's fixed cost (the masked minima,
-    gathers, and branch bookkeeping over all live lanes) is paid that much
-    less often.
-
-    Equivalence contract: a lane's event sequence (times, flows, sizes, drop
-    decisions) and final state are bit-identical to the lockstep loop's, and
-    each flat event stream stays chronological *per lane* — the property
-    every consumer relies on (``_LaneIndex`` groups with a stable sort,
-    ``evaluate_batch`` accumulates with unbuffered per-lane ``np.add.at``).
-    The cross-lane interleaving of the streams may differ from the lockstep
-    loop's; no consumer observes it.  Drained runs are decided purely by
-    lane-local state, so a pooled block's slice of the stream still equals
-    its standalone run's stream, chunk for chunk.
-    """
-    total = int(link_rate.size)
-    q_head = np.zeros(total, dtype=np.int64)
-
-    comp_times: list[np.ndarray] = []
-    comp_rows: list[np.ndarray] = []
-    comp_flows: list[np.ndarray] = []
-    comp_sizes: list[np.ndarray] = []
-    drop_chunks: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-
-    def enqueue(rows: np.ndarray, times: np.ndarray, flow: int, sizes: np.ndarray) -> None:
-        """Offer one ``flow``-typed packet per row — identical decisions and
-        float arithmetic to the lockstep loop's ``enqueue``."""
-        nonlocal q_flow, q_size
-        idle = ~svc_active[rows]
-        idle_rows = rows[idle]
-        if idle_rows.size:
-            svc_active[idle_rows] = True
-            svc_flow[idle_rows] = flow
-            svc_size[idle_rows] = sizes[idle]
-            svc_completion[idle_rows] = times[idle] + sizes[idle] / link_rate[idle_rows]
-            if idle_rows.size == rows.size:
-                return
-            busy = ~idle
-            rows = rows[busy]
-            times = times[busy]
-            sizes = sizes[busy]
-        fits = queue_bits[rows] + sizes <= buffer_slack[rows]
-        queue_rows = rows[fits]
-        if queue_rows.size != rows.size:
-            drop = ~fits
-            drop_chunks.append((flow, times[drop], rows[drop], sizes[drop]))
-            queue_sizes = sizes[fits]
-        else:
-            queue_sizes = sizes
-        if queue_rows.size:
-            slots = q_head[queue_rows] + q_len[queue_rows]
-            if not width_is_exact:
-                needed = int(slots.max()) + 1
-                if needed > q_flow.shape[1]:
-                    grown = max(needed, q_flow.shape[1] * 2)
-                    q_flow = _pad_columns(q_flow, grown)
-                    q_size = _pad_columns(q_size, grown)
-            q_flow[queue_rows, slots] = flow
-            q_size[queue_rows, slots] = queue_sizes
-            q_len[queue_rows] += 1
-            queue_bits[queue_rows] += queue_sizes
-
-    live = np.arange(total)
-    until_live = until
-    while live.size:
-        svc_live = svc_completion[live]
-        cross_live = next_cross[live]
-        if hyp_left:
-            hyp_live = next_hyp[live]
-            next_event = np.minimum(np.minimum(svc_live, cross_live), hyp_live)
-        else:
-            next_event = np.minimum(svc_live, cross_live)
-        keep = next_event <= until_live
-        if not keep.all():
-            live = live[keep]
-            if not live.size:
-                break
-            until_live = until_live[keep]
-            svc_live = svc_live[keep]
-            cross_live = cross_live[keep]
-            if hyp_left:
-                hyp_live = hyp_live[keep]
-        # Tie order per lane matches the lockstep loop: completions first,
-        # cross arrivals second, the hypothetical send strictly last.
-        if hyp_left:
-            completing = (svc_live <= cross_live) & (svc_live <= hyp_live)
-            arriving = ~completing & (cross_live <= hyp_live)
-        else:
-            completing = svc_live <= cross_live
-            arriving = ~completing
-
-        rows = live[completing]
-        if rows.size:
-            when = svc_live[completing]
-            comp_times.append(when)
-            comp_rows.append(rows)
-            comp_flows.append(svc_flow[rows])
-            comp_sizes.append(svc_size[rows])
-            # Load the next queued packet — the lockstep loop's completion
-            # branch, op for op.
-            has_next = q_len[rows] > 0
-            next_rows = rows[has_next]
-            if next_rows.size:
-                head = q_head[next_rows]
-                size = q_size[next_rows, head]
-                svc_flow[next_rows] = q_flow[next_rows, head]
-                svc_size[next_rows] = size
-                svc_completion[next_rows] = when[has_next] + size / link_rate[next_rows]
-                q_head[next_rows] = head + 1
-                q_len[next_rows] -= 1
-                remaining = queue_bits[next_rows] - size
-                queue_bits[next_rows] = np.where(remaining < 1e-9, 0.0, remaining)
-            if next_rows.size != rows.size:
-                idle_rows = rows[~has_next]
-                svc_active[idle_rows] = False
-                svc_completion[idle_rows] = np.inf
-            if next_rows.size:
-                # Drain: fire the reloaded packet's completion in this same
-                # outer iteration whenever it still beats the lane's next
-                # cross arrival, hypothetical send, and deadline — exactly
-                # the events the lockstep loop would fire over its next
-                # iterations, in the same per-lane order.
-                new_comp = svc_completion[next_rows]
-                drain = (new_comp <= next_cross[next_rows]) & (
-                    new_comp <= until[next_rows]
-                )
-                if hyp_left:
-                    drain &= new_comp <= next_hyp[next_rows]
-                run_rows = next_rows[drain]
-                if run_rows.size:
-                    run_start = new_comp[drain]
-                    comp_times.append(run_start)
-                    comp_rows.append(run_rows)
-                    comp_flows.append(svc_flow[run_rows])
-                    comp_sizes.append(svc_size[run_rows])
-                    _drain_runs(
-                        run_rows,
-                        run_start,
-                        link_rate=link_rate,
-                        svc_active=svc_active,
-                        svc_flow=svc_flow,
-                        svc_size=svc_size,
-                        svc_completion=svc_completion,
-                        q_flow=q_flow,
-                        q_size=q_size,
-                        q_head=q_head,
-                        q_len=q_len,
-                        queue_bits=queue_bits,
-                        until=until,
-                        next_cross=next_cross,
-                        next_hyp=next_hyp,
-                        hyp_left=hyp_left,
-                        comp_times=comp_times,
-                        comp_rows=comp_rows,
-                        comp_flows=comp_flows,
-                        comp_sizes=comp_sizes,
-                    )
-
-        rows = live[arriving]
-        if rows.size:
-            when = cross_live[arriving]
-            enqueue(rows, when, FLOW_CROSS, cross_packet_bits[rows])
-            next_cross[rows] = when + cross_interval[rows]
-
-        if hyp_left:
-            sending = ~(completing | arriving)
-            rows = live[sending]
-            if rows.size:
-                next_hyp[rows] = np.inf
-                hyp_left -= int(rows.size)
-                enqueue(rows, send_time[rows], FLOW_HYP, packet_bits_lane[rows])
-
-    if comp_times:
-        all_times = np.concatenate(comp_times)
-        all_rows = np.concatenate(comp_rows)
-        all_flows = np.concatenate(comp_flows)
-        all_sizes = np.concatenate(comp_sizes)
-    else:
-        all_times = np.empty(0)
-        all_rows = np.empty(0, dtype=np.int64)
-        all_flows = np.empty(0, dtype=np.int8)
-        all_sizes = np.empty(0)
-    return {
-        "times": all_times,
-        "rows": all_rows,
-        "flows": all_flows,
-        "sizes": all_sizes,
-        "drop_chunks": drop_chunks,
-        "q_flow": q_flow,
-        "q_size": q_size,
-        "q_head": q_head,
-        "q_len": q_len,
-        "queue_bits": queue_bits,
-        "svc_active": svc_active,
-        "svc_flow": svc_flow,
-        "svc_size": svc_size,
-    }
-
-
-def _classify_events(raw: dict, now: float, end_lane: np.ndarray) -> dict:
+def _classify_events(raw: dict, now: float, end: float) -> dict:
     """Split the raw event log into the outcome's own/cross event streams.
 
     Cross-traffic outcomes count within ``[decision_time, end)`` only; own
     predictions are unfiltered, both exactly as the scalar rollout reports.
-    ``end_lane`` is per lane so pooled blocks with different horizons filter
-    exactly as their standalone runs would.
     """
     own = raw["flows"] != FLOW_CROSS
     own_time = raw["times"][own]
@@ -887,9 +549,9 @@ def _classify_events(raw: dict, now: float, end_lane: np.ndarray) -> dict:
         [chunk for chunk in drop_chunks if chunk[0] == FLOW_CROSS]
     )
 
-    keep = (cross_time >= now) & (cross_time < end_lane[cross_lane])
+    keep = (cross_time >= now) & (cross_time < end)
     cross_time, cross_lane, cross_bits = cross_time[keep], cross_lane[keep], cross_bits[keep]
-    keep = (cross_drop_time >= now) & (cross_drop_time < end_lane[cross_drop_lane])
+    keep = (cross_drop_time >= now) & (cross_drop_time < end)
     cross_drop_time = cross_drop_time[keep]
     cross_drop_lane = cross_drop_lane[keep]
     cross_drop_bits = cross_drop_bits[keep]
@@ -909,43 +571,13 @@ def _classify_events(raw: dict, now: float, end_lane: np.ndarray) -> dict:
     }
 
 
-def _cross_backlog_pairwise(raw: dict) -> np.ndarray:
-    """Final cross-queued bits per lane, summed with NumPy's pairwise sum.
-
-    The historical reduction of :func:`batched_rollout`, kept bit-for-bit so
-    the unfused vectorized backend's outputs are unchanged by the fused
-    refactor.  Its rounding depends on the buffer width (the pairwise tree
-    shape), which is why the fused paths use the width-independent
-    :func:`_cross_backlog_sequential` instead.
-    """
+def _cross_backlog(raw: dict) -> np.ndarray:
+    """Final cross-queued bits per lane (queued cells plus the one in service)."""
     q_flow, q_size = raw["q_flow"], raw["q_size"]
     q_head, q_len = raw["q_head"], raw["q_len"]
     columns = np.arange(q_flow.shape[1])
     in_queue = (columns >= q_head[:, None]) & (columns < (q_head + q_len)[:, None])
     cross_backlog = (q_size * (in_queue & (q_flow == FLOW_CROSS))).sum(axis=1)
-    cross_backlog += np.where(
-        raw["svc_active"] & (raw["svc_flow"] == FLOW_CROSS), raw["svc_size"], 0.0
-    )
-    return cross_backlog
-
-
-def _cross_backlog_sequential(raw: dict) -> np.ndarray:
-    """Final cross-queued bits per lane, accumulated strictly left to right.
-
-    ``np.add.at`` over the in-queue cross cells in row-major (ascending
-    column) order gives every lane the same ordered float additions no
-    matter how wide the shared buffer is — so a pooled
-    :func:`batched_rollout_blocks` lane and its standalone
-    :func:`batched_rollout_rows` twin produce bit-identical backlogs even
-    though they sat in differently sized buffers.
-    """
-    q_flow, q_size = raw["q_flow"], raw["q_size"]
-    q_head, q_len = raw["q_head"], raw["q_len"]
-    columns = np.arange(q_flow.shape[1])
-    in_queue = (columns >= q_head[:, None]) & (columns < (q_head + q_len)[:, None])
-    lanes_nz, cols_nz = np.nonzero(in_queue & (q_flow == FLOW_CROSS))
-    cross_backlog = np.zeros(q_len.size)
-    np.add.at(cross_backlog, lanes_nz, q_size[lanes_nz, cols_nz])
     cross_backlog += np.where(
         raw["svc_active"] & (raw["svc_flow"] == FLOW_CROSS), raw["svc_size"], 0.0
     )
@@ -1043,10 +675,10 @@ def batched_rollout(
         next_cross=next_cross,
         next_hyp=next_hyp,
         hyp_left=hyp_left,
-        packet_bits_lane=np.full(total, packet_bits, dtype=float),
+        packet_bits=packet_bits,
         width_is_exact=width_is_exact,
     )
-    events = _classify_events(raw, now, np.full(total, end))
+    events = _classify_events(raw, now, end)
     final_queue_bits = raw["queue_bits"] + np.where(
         raw["svc_active"], raw["svc_size"], 0.0
     )
@@ -1058,297 +690,60 @@ def batched_rollout(
         k=k,
         own_survival=np.tile(lanes.survival, a),
         final_queue_bits=final_queue_bits,
-        final_cross_backlog_bits=_cross_backlog_pairwise(raw),
+        final_cross_backlog_bits=_cross_backlog(raw),
         **events,
     )
 
 
-def batched_rollout_rows(
-    state: EnsembleState,
-    rows: Sequence[int] | np.ndarray,
-    action_delays: Sequence[float],
-    horizon: float,
-    packet_bits: float,
-    now: float,
-    send_packet: bool = True,
-) -> BatchedRolloutOutcome:
-    """The fused rollout: ensemble rows straight into the event frontier.
+@ROLLOUT_BACKENDS.register("vectorized")
+def decide_vectorized(
+    planner: "ExpectedUtilityPlanner", belief: "BeliefState", now: float
+) -> "Decision":
+    """The batched rollout engine behind ``rollout_backend="vectorized"``.
 
-    Equivalent to ``batched_rollout(pack_rows(state, rows), ...)`` — same
-    values in every lane slot, hence byte-identical outcomes (the tiled
-    gather ``state.lane_arrays`` produces is elementwise equal to
-    ``pack_rows`` + ``np.tile``) — but without materializing the
-    intermediate :class:`RolloutLanes` repack.  The one intentional
-    difference is the final cross-backlog reduction, which uses the
-    width-independent sequential sum (see :func:`_cross_backlog_sequential`)
-    so pooled and standalone fused runs agree bit for bit; under the default
-    utilities the backlog never feeds a decision, and the documented 1e-9
-    relative utility tolerance covers it everywhere else.
+    Registered on :data:`~repro.api.backends.ROLLOUT_BACKENDS`;
+    ``ExpectedUtilityPlanner.decide`` dispatches here when the planner was
+    constructed with the vectorized backend.  When the belief also exposes
+    ``top_rows`` (the vectorized ensemble), the lanes are packed straight
+    from its rows and no scalar ``Hypothesis`` is materialized anywhere on
+    the decide path.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    delays = np.asarray(action_delays, dtype=float)
-    if np.any(delays < 0):
-        raise InferenceError("action delays must be non-negative")
-    if now < state.time - 1e-9:
-        raise InferenceError(
-            f"cannot roll out at {now:.6f}: lane clock is already at {state.time:.6f}"
+    from repro.core.planner import Decision, rollout_outcome_digest
+
+    top_rows = getattr(belief, "top_rows", None)
+    if top_rows is not None:
+        rows, weights = top_rows(planner.top_k)
+        state = belief.state
+        summary = planner._summarize_rows(state, rows, weights)
+        lanes = pack_rows(state, rows)
+    else:
+        top = belief.top(planner.top_k)
+        summary = planner._summarize_hypotheses(top)
+        lanes = pack_hypotheses([hypothesis for hypothesis, _ in top])
+
+    actions = planner.action_grid.actions(summary.service_time)
+    horizon = planner._horizon_from(summary)
+    probe = planner.decision_probe
+    if probe is not None:
+        probe(
+            "summary",
+            {
+                "service_time": summary.service_time,
+                "horizon": horizon,
+                "weights": list(summary.weights),
+                "actions": [action.delay for action in actions],
+            },
         )
-    k = int(rows.size)
-    a = int(delays.size)
-    total = a * k
-
-    max_delay = float(delays.max()) if delays.size else 0.0
-    span = horizon + max_delay + (now - state.time)
-    max_rate = float(state.cross_rate_pps[rows].max()) if k else 0.0
-    arrival_bound = int(min(span * max_rate + 2.0, 4096.0))
-    width = int(state.q_len[rows].max(initial=0)) + arrival_bound + 2
-    width_is_exact = span * max_rate + 2.0 <= 4096.0
-
-    lanes = state.lane_arrays(rows, a, width)
-    with np.errstate(divide="ignore"):
-        cross_interval = 1.0 / lanes["cross_rate_pps"]
-    end = now + horizon
-    send_time = np.repeat(now + delays, k)
-    until = np.maximum(end, send_time) if send_packet else np.full(total, end)
-    next_cross = np.where(lanes["gate_on"], lanes["next_cross_time"], np.inf)
-    next_hyp = send_time.copy() if send_packet else np.full(total, np.inf)
-    hyp_left = int(total) if send_packet else 0
-
-    raw = _run_frontier_fused(
-        link_rate=lanes["link_rate"],
-        buffer_slack=lanes["buffer_cap"] + 1e-9,
-        cross_interval=cross_interval,
-        cross_packet_bits=lanes["cross_packet_bits"],
-        svc_active=lanes["svc_active"],
-        svc_flow=lanes["svc_flow"],
-        svc_size=lanes["svc_size"],
-        svc_completion=lanes["svc_completion"],
-        q_flow=lanes["q_flow"],
-        q_size=lanes["q_size"],
-        q_len=lanes["q_len"],
-        queue_bits=lanes["queue_bits"],
-        send_time=send_time,
-        until=until,
-        next_cross=next_cross,
-        next_hyp=next_hyp,
-        hyp_left=hyp_left,
-        packet_bits_lane=np.full(total, packet_bits, dtype=float),
-        width_is_exact=width_is_exact,
+        probe("lanes", lanes.checkpoint())
+    outcome = batched_rollout(
+        lanes,
+        [action.delay for action in actions],
+        horizon,
+        planner.packet_bits,
+        now,
     )
-    events = _classify_events(raw, now, np.full(total, end))
-    final_queue_bits = raw["queue_bits"] + np.where(
-        raw["svc_active"], raw["svc_size"], 0.0
-    )
-    return BatchedRolloutOutcome(
-        decision_time=now,
-        horizon=horizon,
-        packet_bits=packet_bits,
-        action_delays=delays,
-        k=k,
-        own_survival=lanes["survival"],
-        final_queue_bits=final_queue_bits,
-        final_cross_backlog_bits=_cross_backlog_sequential(raw),
-        **events,
-    )
-
-
-@dataclass
-class RolloutBlock:
-    """One sender's (action × hypothesis) fan-out inside a pooled rollout.
-
-    ``batched_rollout_blocks`` concatenates blocks along the lane axis into
-    one (sender × action × hypothesis) frontier.  Each block's horizon,
-    action grid, and packet size are its own; the decision clock ``now`` is
-    shared (pool wake-ups are batch-synchronous).
-    """
-
-    state: EnsembleState
-    rows: np.ndarray
-    action_delays: Sequence[float]
-    horizon: float
-    packet_bits: float
-
-
-def batched_rollout_blocks(
-    blocks: Sequence[RolloutBlock],
-    now: float,
-    send_packet: bool = True,
-) -> list[BatchedRolloutOutcome]:
-    """Roll out many senders' fan-outs as one (sender × action × hypothesis) pass.
-
-    Returns one :class:`BatchedRolloutOutcome` per block, each byte-identical
-    to what :func:`batched_rollout_rows` would return for that block alone:
-    the frontier core is lane-elementwise, so pooling changes neither event
-    values nor per-lane event order, and the per-block slices of the flat
-    event log preserve the standalone chunk ordering (within one iteration's
-    chunk, lanes ascend, and a block's lanes are contiguous).
-    """
-    if not blocks:
-        return []
-    prepared = []
-    width = 0
-    width_is_exact = True
-    for block in blocks:
-        rows = np.asarray(block.rows, dtype=np.int64)
-        delays = np.asarray(block.action_delays, dtype=float)
-        if np.any(delays < 0):
-            raise InferenceError("action delays must be non-negative")
-        if now < block.state.time - 1e-9:
-            raise InferenceError(
-                f"cannot roll out at {now:.6f}: lane clock is already at "
-                f"{block.state.time:.6f}"
-            )
-        k = int(rows.size)
-        a = int(delays.size)
-        max_delay = float(delays.max()) if delays.size else 0.0
-        span = block.horizon + max_delay + (now - block.state.time)
-        max_rate = float(block.state.cross_rate_pps[rows].max()) if k else 0.0
-        arrival_bound = int(min(span * max_rate + 2.0, 4096.0))
-        width = max(width, int(block.state.q_len[rows].max(initial=0)) + arrival_bound + 2)
-        width_is_exact = width_is_exact and span * max_rate + 2.0 <= 4096.0
-        prepared.append((block, rows, delays, k, a))
-
-    fields = (
-        "link_rate",
-        "buffer_cap",
-        "survival",
-        "cross_rate_pps",
-        "cross_packet_bits",
-        "gate_on",
-        "next_cross_time",
-        "svc_active",
-        "svc_flow",
-        "svc_size",
-        "svc_completion",
-        "q_len",
-        "queue_bits",
-        "q_flow",
-        "q_size",
-    )
-    pieces: dict[str, list[np.ndarray]] = {field: [] for field in fields}
-    send_parts: list[np.ndarray] = []
-    until_parts: list[np.ndarray] = []
-    end_parts: list[np.ndarray] = []
-    bits_parts: list[np.ndarray] = []
-    for block, rows, delays, k, a in prepared:
-        lanes = block.state.lane_arrays(rows, a, width)
-        for field in fields:
-            pieces[field].append(lanes[field])
-        end = now + block.horizon
-        block_send = np.repeat(now + delays, k)
-        send_parts.append(block_send)
-        until_parts.append(
-            np.maximum(end, block_send)
-            if send_packet
-            else np.full(block_send.size, end)
-        )
-        end_parts.append(np.full(block_send.size, end))
-        bits_parts.append(np.full(block_send.size, block.packet_bits, dtype=float))
-    merged = {field: np.concatenate(pieces[field]) for field in fields}
-    send_time = np.concatenate(send_parts)
-    until = np.concatenate(until_parts)
-    end_lane = np.concatenate(end_parts)
-    packet_bits_lane = np.concatenate(bits_parts)
-    total = int(send_time.size)
-
-    with np.errstate(divide="ignore"):
-        cross_interval = 1.0 / merged["cross_rate_pps"]
-    next_cross = np.where(merged["gate_on"], merged["next_cross_time"], np.inf)
-    next_hyp = send_time.copy() if send_packet else np.full(total, np.inf)
-    hyp_left = total if send_packet else 0
-
-    raw = _run_frontier_fused(
-        link_rate=merged["link_rate"],
-        buffer_slack=merged["buffer_cap"] + 1e-9,
-        cross_interval=cross_interval,
-        cross_packet_bits=merged["cross_packet_bits"],
-        svc_active=merged["svc_active"],
-        svc_flow=merged["svc_flow"],
-        svc_size=merged["svc_size"],
-        svc_completion=merged["svc_completion"],
-        q_flow=merged["q_flow"],
-        q_size=merged["q_size"],
-        q_len=merged["q_len"],
-        queue_bits=merged["queue_bits"],
-        send_time=send_time,
-        until=until,
-        next_cross=next_cross,
-        next_hyp=next_hyp,
-        hyp_left=hyp_left,
-        packet_bits_lane=packet_bits_lane,
-        width_is_exact=width_is_exact,
-    )
-    events = _classify_events(raw, now, end_lane)
-    final_queue_bits = raw["queue_bits"] + np.where(
-        raw["svc_active"], raw["svc_size"], 0.0
-    )
-    cross_backlog = _cross_backlog_sequential(raw)
-
-    outcomes: list[BatchedRolloutOutcome] = []
-    offset = 0
-    for block, rows, delays, k, a in prepared:
-        stop = offset + a * k
-
-        def split(time: np.ndarray, lane: np.ndarray, *extras: np.ndarray):
-            sel = (lane >= offset) & (lane < stop)
-            return (time[sel], lane[sel] - offset) + tuple(x[sel] for x in extras)
-
-        own_time, own_lane, own_is_hyp = split(
-            events["own_time"], events["own_lane"], events["own_is_hyp"]
-        )
-        own_drop_time, own_drop_lane, own_drop_is_hyp = split(
-            events["own_drop_time"], events["own_drop_lane"], events["own_drop_is_hyp"]
-        )
-        cross_time, cross_lane, cross_bits = split(
-            events["cross_time"], events["cross_lane"], events["cross_bits"]
-        )
-        cross_drop_time, cross_drop_lane, cross_drop_bits = split(
-            events["cross_drop_time"],
-            events["cross_drop_lane"],
-            events["cross_drop_bits"],
-        )
-        outcomes.append(
-            BatchedRolloutOutcome(
-                decision_time=now,
-                horizon=block.horizon,
-                packet_bits=block.packet_bits,
-                action_delays=delays,
-                k=k,
-                own_survival=merged["survival"][offset:stop],
-                own_time=own_time,
-                own_lane=own_lane,
-                own_is_hyp=own_is_hyp,
-                own_drop_time=own_drop_time,
-                own_drop_lane=own_drop_lane,
-                own_drop_is_hyp=own_drop_is_hyp,
-                cross_time=cross_time,
-                cross_bits=cross_bits,
-                cross_lane=cross_lane,
-                cross_drop_time=cross_drop_time,
-                cross_drop_bits=cross_drop_bits,
-                cross_drop_lane=cross_drop_lane,
-                final_queue_bits=final_queue_bits[offset:stop],
-                final_cross_backlog_bits=cross_backlog[offset:stop],
-            )
-        )
-        offset = stop
-    return outcomes
-
-
-def _finish_decide(planner, summary, actions, horizon, outcome, probe) -> "Decision":
-    """Value a rollout fan-out and pick the action — the shared decide tail.
-
-    Used by both the unfused ``decide_vectorized`` and the fused backend's
-    ``decide_fused`` (and, per block, by the ``BatchedSenderPool``), so the
-    utility arithmetic, probability-weighted aggregation loop, and tie
-    handling are the identical float operations on every path.
-    """
-    from repro.core.planner import Decision
-
     planner.rollouts_performed += outcome.lanes
     if probe is not None:
-        from repro.core.planner import rollout_outcome_digest
-
         probe(
             "rollout",
             {
@@ -1395,51 +790,3 @@ def _finish_decide(planner, summary, actions, horizon, outcome, probe) -> "Decis
         hypotheses_evaluated=count,
         horizon=horizon,
     )
-
-
-@ROLLOUT_BACKENDS.register("vectorized")
-def decide_vectorized(
-    planner: "ExpectedUtilityPlanner", belief: "BeliefState", now: float
-) -> "Decision":
-    """The batched rollout engine behind ``rollout_backend="vectorized"``.
-
-    Registered on :data:`~repro.api.backends.ROLLOUT_BACKENDS`;
-    ``ExpectedUtilityPlanner.decide`` dispatches here when the planner was
-    constructed with the vectorized backend.  When the belief also exposes
-    ``top_rows`` (the vectorized ensemble), the lanes are packed straight
-    from its rows and no scalar ``Hypothesis`` is materialized anywhere on
-    the decide path.
-    """
-    top_rows = getattr(belief, "top_rows", None)
-    if top_rows is not None:
-        rows, weights = top_rows(planner.top_k)
-        state = belief.state
-        summary = planner._summarize_rows(state, rows, weights)
-        lanes = pack_rows(state, rows)
-    else:
-        top = belief.top(planner.top_k)
-        summary = planner._summarize_hypotheses(top)
-        lanes = pack_hypotheses([hypothesis for hypothesis, _ in top])
-
-    actions = planner.action_grid.actions(summary.service_time)
-    horizon = planner._horizon_from(summary)
-    probe = planner.decision_probe
-    if probe is not None:
-        probe(
-            "summary",
-            {
-                "service_time": summary.service_time,
-                "horizon": horizon,
-                "weights": list(summary.weights),
-                "actions": [action.delay for action in actions],
-            },
-        )
-        probe("lanes", lanes.checkpoint())
-    outcome = batched_rollout(
-        lanes,
-        [action.delay for action in actions],
-        horizon,
-        planner.packet_bits,
-        now,
-    )
-    return _finish_decide(planner, summary, actions, horizon, outcome, probe)

@@ -396,10 +396,8 @@ class EnsembleState:
         wholesale; ``q_len`` itself is part of the digest, which keeps a
         zero-valued real cell distinct from padding.
 
-        The fused belief backend groups rows directly on this matrix (a
-        single ``np.unique`` over a void view) without ever materializing
-        per-row ``bytes``; :meth:`signature_digest` is the bytes-per-row
-        wrapper the dict-based compaction path consumes.
+        :meth:`signature_digest` freezes each row into the ``bytes`` key
+        the belief's compaction groups on.
         """
         length = int(self.q_len[rows].max()) if rows.size else 0
         parts = [
@@ -431,47 +429,6 @@ class EnsembleState:
         """
         packed = self.signature_matrix(rows)
         return [row.tobytes() for row in packed]
-
-    def lane_arrays(self, rows: np.ndarray, copies: int, queue_width: int) -> dict:
-        """Per-lane buffers for ``rows`` tiled ``copies`` times, rollout-ready.
-
-        This is the fused path's lane-buffer view: the gathered arrays feed
-        :func:`repro.inference.vectorized.rollout.batched_rollout_rows`
-        directly, skipping the intermediate
-        :class:`~repro.inference.vectorized.rollout.RolloutLanes` repack that
-        ``pack_rows`` + ``batched_rollout`` would build.  The tile-of-gather
-        is bit-identical to gather-then-``np.tile`` — the same float64/int8
-        values land in the same lane slots — so the fused rollout reproduces
-        the unfused one byte for byte.
-
-        ``queue_width`` sizes the returned queue buffers (zero-padded past
-        each row's ``q_len``); callers pass the rollout's precomputed
-        arrival-bound width so no second resize happens inside the kernel.
-        """
-        idx = np.tile(np.asarray(rows, dtype=np.int64), copies)
-        lanes = idx.size
-        take = min(queue_width, self.q_flow.shape[1])
-        q_flow = np.zeros((lanes, queue_width), dtype=np.int8)
-        q_size = np.zeros((lanes, queue_width), dtype=float)
-        q_flow[:, :take] = self.q_flow[idx, :take]
-        q_size[:, :take] = self.q_size[idx, :take]
-        return {
-            "link_rate": self.link_rate[idx],
-            "buffer_cap": self.buffer_cap[idx],
-            "survival": self.survival[idx],
-            "cross_rate_pps": self.cross_rate_pps[idx],
-            "cross_packet_bits": self.cross_packet_bits[idx],
-            "gate_on": self.gate_on[idx],
-            "next_cross_time": self.next_cross_time[idx],
-            "svc_active": self.svc_active[idx],
-            "svc_flow": self.svc_flow[idx],
-            "svc_size": self.svc_size[idx],
-            "svc_completion": self.svc_completion[idx],
-            "q_len": self.q_len[idx],
-            "queue_bits": self.queue_bits[idx],
-            "q_flow": q_flow,
-            "q_size": q_size,
-        }
 
     def checkpoint(self) -> dict:
         """A canonical, comparable snapshot of the whole ensemble.

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from repro.api.config import SenderConfig, canonical_digest
-from repro.api.pool import BatchedSenderPool
 from repro.api.sender import build_components
 from repro.baselines.aimd import AimdSender
 from repro.baselines.cubic import CubicSender
@@ -85,6 +84,12 @@ def inference_ablation_config(params: Mapping[str, Any]) -> SenderConfig:
     )
 
 
+def _check_duration(duration: float) -> None:
+    """Reject a run length the scenario cannot simulate, before building it."""
+    if not duration > 0.0:
+        raise ConfigurationError(f"duration must be positive, got {duration!r}")
+
+
 # --------------------------------------------------------------------- figures
 
 
@@ -97,6 +102,7 @@ def figure1(
     link_loss_rate: float = 0.05,
 ) -> dict[str, float]:
     """Figure 1: RTT inflation of a TCP download over a bufferbloated cellular link."""
+    _check_duration(duration)
     result = run_figure1(
         duration=duration,
         nominal_rate_bps=nominal_rate_bps,
@@ -140,6 +146,7 @@ def figure3_alpha(
         python -m repro.runner run figure3_alpha \\
             --sweep rollout_backend=scalar,vectorized --sweep policy=none,cache
     """
+    _check_duration(duration)
     result = run_figure3_point(
         alpha=alpha,
         duration=duration,
@@ -180,6 +187,7 @@ def convergence(
     buffer_capacity_bits: float = 96_000.0,
 ) -> dict[str, float]:
     """Scenario A of §4: the sender infers an unknown link speed and converges."""
+    _check_duration(duration)
     result = run_convergence_scenario(
         true_link_rate_bps=link_rate_bps,
         duration=duration,
@@ -205,6 +213,7 @@ def drain(
     latency_penalty: float = 0.1,
 ) -> dict[str, float]:
     """Scenario B of §4: the latency-penalizing sender waits for the buffer to drain."""
+    _check_duration(duration)
     result = run_drain_scenario(
         duration=duration,
         initial_fill_bits=initial_fill_bits,
@@ -229,6 +238,7 @@ def loss_comparison(
     link_rate_bps: float = 12_000.0,
 ) -> dict[str, float]:
     """§1/§2 headline: loss-blind TCP vs. the model-based sender on a lossy link."""
+    _check_duration(duration)
     result = run_loss_comparison(
         loss_rate=loss_rate,
         link_rate_bps=link_rate_bps,
@@ -270,6 +280,7 @@ def inference_ablation_point(
             --sweep rollout_backend=scalar,vectorized \\
             --sweep policy=none,cache,table
     """
+    _check_duration(duration)
     # The factory owns the empty-policy fallback rule (use_policy_cache
     # compatibility), so the executed config and the cache-key fingerprint
     # can never resolve it differently.
@@ -327,6 +338,7 @@ def single_link_tcp(
     Cheap enough to sweep by the hundreds; the workload the determinism and
     scaling tests use.
     """
+    _check_duration(duration)
     network = Network(seed=seed)
     buffer = Buffer(capacity_bits=buffer_bits, name="buffer")
     link = Throughput(rate_bps=link_rate_bps, name="link")
@@ -375,6 +387,7 @@ def cellular_trace_tcp(
     packet_bits: float = DEFAULT_PACKET_BITS,
 ) -> dict[str, float]:
     """A trace-driven cellular run: TCP over a rate-process-modulated, loss-hiding link."""
+    _check_duration(duration)
     network = Network(seed=seed)
     rate_process = RateProcess(
         nominal_bps=nominal_rate_bps,
@@ -495,6 +508,10 @@ def corpus_trace(
     the same name invalidates cached points even though the params did
     not change.
     """
+    if not duration >= 0.0:
+        raise ConfigurationError(
+            f"duration must be non-negative (0 runs the whole trace), got {duration!r}"
+        )
     if not trace:
         raise ConfigurationError(
             "corpus_trace needs a trace: pass --set trace=<corpus entry name>"
@@ -569,7 +586,6 @@ def many_flow_contention(
     fairness_window: float = 2.0,
     fairness_threshold: float = 0.9,
     per_flow_metrics: bool = False,
-    sender_pool: bool = False,
 ) -> dict[str, float]:
     """N concurrent flows through one shared buffer and trace-driven link.
 
@@ -586,27 +602,13 @@ def many_flow_contention(
 
         python -m repro.runner run many_flow_contention \\
             --set flows=16 --set isender_flows=4 --set duration=20
-
-    ``sender_pool=True`` builds the ISender flows' inference parts through
-    one :class:`~repro.api.pool.BatchedSenderPool` instead of N
-    independent ``build_components`` calls.  Construction — and therefore
-    every metric — is byte-identical to the independent path (the pool
-    calls ``build_components`` per prior, in flow order); it requires
-    ``isender_flows >= 1`` and a row-ensemble belief backend
-    (``vectorized`` or ``fused``), and exposes the pool's
-    batch-synchronous ``decide_all`` lanes to drivers that wake senders in
-    lockstep.
     """
+    _check_duration(duration)
     if flows < 1:
         raise ConfigurationError(f"flows must be at least 1, got {flows!r}")
     if not 0 <= isender_flows <= flows:
         raise ConfigurationError(
             f"isender_flows ({isender_flows!r}) must lie in [0, flows]"
-        )
-    if sender_pool and isender_flows < 1:
-        raise ConfigurationError(
-            "sender_pool=True needs at least one ISender flow "
-            f"(isender_flows={isender_flows!r})"
         )
     mix_kinds = [kind.strip() for kind in mix.split(",") if kind.strip()]
     unknown = sorted(set(mix_kinds) - set(MANY_FLOW_SENDER_KINDS))
@@ -663,17 +665,6 @@ def many_flow_contention(
             packet_bits=packet_bits,
         )
 
-    # The pooled path builds the identical per-flow parts (same priors, in
-    # flow order) through one BatchedSenderPool, so the scenario's results
-    # are byte-identical either way; the pool additionally validates the
-    # backend supports (sender × action × hypothesis) lanes.
-    pool = (
-        BatchedSenderPool(
-            isender_config, [isender_prior() for _ in range(isender_flows)]
-        )
-        if sender_pool
-        else None
-    )
     flow_names: list[str] = []
     flow_kinds: list[str] = []
     senders: list[Any] = []
@@ -689,11 +680,7 @@ def many_flow_contention(
         if kind == "isender":
             # A fresh belief/planner/policy per flow: senders must not
             # share mutable inference state.
-            parts = (
-                pool.parts[index]
-                if pool is not None
-                else build_components(isender_config, isender_prior())
-            )
+            parts = build_components(isender_config, isender_prior())
             sender = ISender(
                 parts.belief,
                 parts.planner,

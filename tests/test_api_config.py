@@ -26,26 +26,24 @@ from repro.topology import single_link_network
 
 class TestBackendRegistry:
     def test_builtin_backends_are_known(self):
-        assert BELIEF_BACKENDS.names() == ["fused", "scalar", "vectorized"]
-        assert ROLLOUT_BACKENDS.names() == ["fused", "scalar", "vectorized"]
+        assert BELIEF_BACKENDS.names() == ["scalar", "vectorized"]
+        assert ROLLOUT_BACKENDS.names() == ["scalar", "vectorized"]
         assert "vectorized" in BELIEF_BACKENDS
-        assert "fused" in BELIEF_BACKENDS
         assert "quantum" not in ROLLOUT_BACKENDS
 
     def test_resolve_returns_registered_engines(self):
         from repro.inference.belief import BeliefState
         from repro.inference.vectorized import VectorizedBeliefState
-        from repro.inference.vectorized.fused import FusedBeliefState
 
         assert BELIEF_BACKENDS.resolve("scalar") is BeliefState
         assert BELIEF_BACKENDS.resolve("vectorized") is VectorizedBeliefState
-        assert BELIEF_BACKENDS.resolve("fused") is FusedBeliefState
         assert callable(ROLLOUT_BACKENDS.resolve("scalar"))
         assert callable(ROLLOUT_BACKENDS.resolve("vectorized"))
-        assert callable(ROLLOUT_BACKENDS.resolve("fused"))
 
     def test_unknown_name_lists_registered_backends(self):
-        with pytest.raises(UnknownBackendError, match="fused, scalar, vectorized"):
+        with pytest.raises(
+            UnknownBackendError, match="registered backends: scalar, vectorized$"
+        ):
             BELIEF_BACKENDS.resolve("quantum")
         with pytest.raises(UnknownBackendError, match="rollout backend 'warp'"):
             ROLLOUT_BACKENDS.validate("warp")

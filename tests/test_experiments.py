@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import SenderConfig
 from repro.experiments import (
     run_convergence_scenario,
     run_drain_scenario,
@@ -40,12 +41,23 @@ class TestFigure1:
 
 
 class TestFigure3:
+    """The paper's Figure-3 claims, on the scalar reference engine.
+
+    :class:`TestFigure3Vectorized` reruns every check on the NumPy engine,
+    so an engine change that flips a paper claim fails in tier-1.
+    """
+
+    ENGINE = "scalar"
+
     @pytest.fixture(scope="class")
     def result(self):
         return run_figure3(
             alphas=(0.9, 1.0, 5.0),
             duration=90.0,
             switch_interval=30.0,
+            settings=SenderConfig(
+                belief_backend=self.ENGINE, rollout_backend=self.ENGINE
+            ),
         )
 
     def test_one_result_per_alpha(self, result):
@@ -66,12 +78,20 @@ class TestFigure3:
 
     def test_claims_and_rows(self, result):
         claims = result.check_claims()
-        assert claims["starts_slowly"]
-        assert claims["only_alpha_below_one_overflows"]
+        assert claims == {
+            "starts_slowly": True,
+            "link_speed_when_cross_off": True,
+            "deference_monotone_in_alpha": True,
+            "only_alpha_below_one_overflows": True,
+        }
         rows = result.rows()
         assert len(rows) == 3
         assert "rate_cross_off (bps)" in rows[0].values
         assert result.series()
+
+
+class TestFigure3Vectorized(TestFigure3):
+    ENGINE = "vectorized"
 
 
 class TestSimpleScenarios:

@@ -22,6 +22,17 @@ from repro.runner.cli import main as cli_main
 from repro.sim.random import derive_seed
 
 
+#: Every registered scenario that takes a run length, with the values it
+#: must reject (``corpus_trace`` reads ``duration=0`` as the whole trace).
+BAD_DURATIONS = [
+    (entry.name, value)
+    for entry in DEFAULT_REGISTRY
+    if "duration" in (entry.accepted_params or ())
+    for value in ("-5", "0")
+    if not (entry.name == "corpus_trace" and value == "0")
+]
+
+
 # ---------------------------------------------------------------------- specs
 
 
@@ -317,3 +328,8 @@ class TestCli:
     def test_bad_assignment_fails_cleanly(self, capsys):
         assert cli_main(["run", "single_link_tcp", "--set", "duration"]) == 2
         assert "key=value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,duration", BAD_DURATIONS)
+    def test_non_positive_duration_fails_cleanly(self, name, duration, capsys):
+        assert cli_main(["run", name, "--set", f"duration={duration}"]) == 2
+        assert "duration must be" in capsys.readouterr().err
